@@ -33,6 +33,26 @@ import (
 // S=1 special case — every record lives in shard 0 and nothing on the
 // wire or in the maps differs from the pre-sharding registry.
 //
+// Each hosted shard keeps three views of its records in step (shardState):
+// the records by publishing node, a (kind, name) index that chains the
+// entries under a name in answer order, and a min-heap of lease deadlines.
+// A named lookup — the one every by-name dial makes — is an index probe
+// whose cost is the size of the answer, not of the directory; only a query
+// that leaves kind or name open (reg-list, Attach, kind-only) walks the
+// shard. Readers never write: an expired record is skipped under the
+// shard's read lock, and the next write-locked operation on that shard pops
+// it off the heap before doing its own work. There is no sweeper goroutine,
+// so Sim and Wall behave identically.
+//
+// Locking: every shard has its own RWMutex over its data; Registry.mu
+// guards only what is about the replica — peers, sessions, interval timers,
+// flags. The set of hosted shards is published copy-on-write (hostedShards),
+// so serving a request finds its shards without any Registry lock, and
+// Registry.mu is never held while a shard lock is taken. Shard locks are
+// taken one at a time: a lookup on one shard runs beside a publish or an
+// anti-entropy merge on another, and a batch spanning shards is atomic per
+// shard, not across them.
+//
 // Replicas reconcile per shard through periodic anti-entropy (StartSync /
 // StartShardSync). The first exchange with a peer — and every exchange
 // with a peer too old to answer digests — is a full push-pull snapshot
@@ -49,32 +69,25 @@ type Registry struct {
 	lst orb.Acceptor
 	tel atomic.Pointer[telemetry.Registry]
 
+	lookups atomic.Int64                 // lookup/list operations served
+	shards  atomic.Pointer[hostedShards] // replaced whole, under mu, when hosting changes
+
 	mu        sync.Mutex
 	nshards   int                    // grid-wide shard count (1 = unsharded)
-	shards    map[int]*shardState    // hosted shards, by shard id
 	conns     map[orbStream]struct{} // open pooled sessions, torn down on Close
 	intervals map[vtime.Waiter]vtime.Timer
 	sessions  int64 // client sessions ever accepted
-	lookups   int64 // lookup/list operations served
 	looping   bool  // the anti-entropy loop actor is running
 	closed    bool
 }
 
-// shardState is one hosted shard: its slice of the directory plus the
-// peers of its replica group.
-type shardState struct {
-	records map[string]record     // publishing node → its versioned record
-	peers   map[string]*peerState // replica peers under anti-entropy
-}
-
-// record is one publishing node's state: its leased entry set, or a
-// withdraw tombstone that keeps older sync copies from resurrecting it.
-type record struct {
-	entries []Entry
-	expires vtime.Time // lease/tombstone deadline; meaningful only when leased
-	leased  bool       // false ⇒ permanent (publish without TTL)
-	stamp   vtime.Time // version: when a replica accepted the publish/withdraw
-	deleted bool       // withdraw tombstone (always leased)
+// hostedShards is the set of shards a replica hosts. It is never changed
+// once published: HostShards and StartShardSync, which run while a replica
+// is being configured, publish a new one, so that whoever serves a request
+// finds its shards without taking a lock or copying a list.
+type hostedShards struct {
+	byID map[int]*shardState
+	all  []*shardState // sorted by id; shared, read-only
 }
 
 // peerState tracks anti-entropy with one peer replica of one shard group.
@@ -107,8 +120,8 @@ func StartRegistry(rt vtime.Runtime, tr orb.Transport) (*Registry, error) {
 		return nil, fmt.Errorf("gatekeeper: binding %s: %w", RegistryService, err)
 	}
 	r := &Registry{rt: rt, tr: tr, lst: lst, nshards: 1,
-		shards: map[int]*shardState{0: newShardState()},
-		conns:  make(map[orbStream]struct{}), intervals: make(map[vtime.Waiter]vtime.Timer)}
+		conns: make(map[orbStream]struct{}), intervals: make(map[vtime.Waiter]vtime.Timer)}
+	r.host(map[int]*shardState{0: newShardState(0)})
 	rt.Go("registry:accept:"+tr.NodeName(), func() {
 		for {
 			st, err := lst.Accept()
@@ -128,10 +141,6 @@ func StartRegistry(rt vtime.Runtime, tr orb.Transport) (*Registry, error) {
 		}
 	})
 	return r, nil
-}
-
-func newShardState() *shardState {
-	return &shardState{records: make(map[string]record), peers: make(map[string]*peerState)}
 }
 
 // UseTelemetry points the replica at a telemetry registry: served
@@ -162,30 +171,42 @@ func (r *Registry) HostShards(ids ...int) {
 	defer r.mu.Unlock()
 	next := make(map[int]*shardState, len(ids))
 	for _, id := range ids {
-		if sh := r.shards[id]; sh != nil {
+		if sh := r.shard(id); sh != nil {
 			next[id] = sh
 		} else {
-			next[id] = newShardState()
+			next[id] = newShardState(id)
 		}
 	}
-	r.shards = next
+	r.host(next)
+}
+
+// host publishes a new set of hosted shards. Apart from the constructor,
+// callers hold r.mu, so two changes cannot lose one another.
+func (r *Registry) host(byID map[int]*shardState) {
+	h := &hostedShards{byID: byID, all: make([]*shardState, 0, len(byID))}
+	for _, sh := range byID {
+		h.all = append(h.all, sh)
+	}
+	sort.Slice(h.all, func(i, j int) bool { return h.all[i].id < h.all[j].id })
+	r.shards.Store(h)
 }
 
 // ShardIDs returns the shards this replica hosts, sorted.
 func (r *Registry) ShardIDs() []int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.shardIDsLocked()
-}
-
-func (r *Registry) shardIDsLocked() []int {
-	ids := make([]int, 0, len(r.shards))
-	for id := range r.shards {
-		ids = append(ids, id)
+	all := r.hosted()
+	ids := make([]int, len(all))
+	for i, sh := range all {
+		ids[i] = sh.id
 	}
-	sort.Ints(ids)
 	return ids
 }
+
+// shard returns one hosted shard, nil when this replica does not host it.
+func (r *Registry) shard(id int) *shardState { return r.shards.Load().byID[id] }
+
+// hosted returns every hosted shard, sorted by id. The slice is shared:
+// read it, do not change it.
+func (r *Registry) hosted() []*shardState { return r.shards.Load().all }
 
 // StartSync turns this registry into a replica of a single-shard
 // deployment: shard 0's group is the given peer list, reconciled every
@@ -209,10 +230,14 @@ func (r *Registry) StartShardSync(shard int, peers []string, every time.Duration
 		r.mu.Unlock()
 		return
 	}
-	sh := r.shards[shard]
+	sh := r.shard(shard)
 	if sh == nil {
-		sh = newShardState()
-		r.shards[shard] = sh
+		sh = newShardState(shard)
+		next := map[int]*shardState{shard: sh}
+		for _, held := range r.hosted() {
+			next[held.id] = held
+		}
+		r.host(next)
 	}
 	for _, p := range peers {
 		if p == self || p == "" {
@@ -228,7 +253,7 @@ func (r *Registry) StartShardSync(shard int, peers []string, every time.Duration
 	start := !r.looping
 	if start {
 		n := 0
-		for _, s := range r.shards {
+		for _, s := range r.hosted() {
 			n += len(s.peers)
 		}
 		start = n > 0
@@ -269,14 +294,14 @@ func (r *Registry) syncTargets() []syncTarget {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var out []syncTarget
-	for _, id := range r.shardIDsLocked() {
-		peers := make([]string, 0, len(r.shards[id].peers))
-		for p := range r.shards[id].peers {
+	for _, sh := range r.hosted() {
+		peers := make([]string, 0, len(sh.peers))
+		for p := range sh.peers {
 			peers = append(peers, p)
 		}
 		sort.Strings(peers)
 		for _, p := range peers {
-			out = append(out, syncTarget{shard: id, peer: p})
+			out = append(out, syncTarget{shard: sh.id, peer: p})
 		}
 	}
 	return out
@@ -343,7 +368,7 @@ func syncExchange(st orbStream, req *Request) (*Response, error) {
 // counter: the next round retries.
 func (r *Registry) syncWith(shard int, peer string) {
 	r.mu.Lock()
-	sh := r.shards[shard]
+	sh := r.shard(shard)
 	if sh == nil || r.closed {
 		r.mu.Unlock()
 		return
@@ -457,7 +482,7 @@ func (r *Registry) syncWith(shard int, peer string) {
 func (r *Registry) noteSync(shard int, peer string, st orbStream, ok bool) {
 	r.mu.Lock()
 	var old orbStream
-	sh := r.shards[shard]
+	sh := r.shard(shard)
 	if sh != nil {
 		if ps := sh.peers[peer]; ps != nil {
 			if ps.st != nil && ps.st != st {
@@ -489,24 +514,16 @@ func (r *Registry) noteSync(shard int, peer string, st orbStream, ok bool) {
 
 // syncRecordOf encodes one record for the wire: leases as remaining TTL
 // (re-anchored on the receiver's clock), versions as stamps. Reports false
-// for an expired record — reaped, never shipped.
-func syncRecordOf(node string, rec record, now vtime.Time) (SyncRecord, bool) {
-	var ttl int64
-	if rec.leased {
-		remain := rec.expires.Sub(now)
-		if remain <= 0 {
-			return SyncRecord{}, false
-		}
-		ttl = int64(remain / time.Millisecond)
-		if ttl <= 0 {
-			ttl = 1
-		}
+// for an expired record — never shipped.
+func syncRecordOf(rec *record, now vtime.Time) (SyncRecord, bool) {
+	if !rec.live(now) {
+		return SyncRecord{}, false
 	}
 	return SyncRecord{
-		Node:        node,
-		Entries:     append([]Entry(nil), rec.entries...),
-		TTLMillis:   ttl,
-		StampMicros: int64(rec.stamp.Duration() / time.Microsecond),
+		Node:        rec.node,
+		Entries:     rec.entries(),
+		TTLMillis:   ttlMillis(rec.expires, now),
+		StampMicros: rec.stampMicros(),
 		Deleted:     rec.deleted,
 	}, true
 }
@@ -515,24 +532,20 @@ func syncRecordOf(node string, rec record, now vtime.Time) (SyncRecord, bool) {
 // accessor behind the original full push-pull protocol.
 func (r *Registry) snapshot() []SyncRecord { return r.snapshotShard(0) }
 
-// snapshotShard captures every unexpired record of one shard, reaping
-// expired leases and tombstones on the way.
+// snapshotShard captures every unexpired record of one shard.
 func (r *Registry) snapshotShard(shard int) []SyncRecord {
 	now := r.rt.Now()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	sh := r.shards[shard]
+	sh := r.shard(shard)
 	if sh == nil {
 		return nil
 	}
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
 	out := make([]SyncRecord, 0, len(sh.records))
-	for node, rec := range sh.records {
-		sr, live := syncRecordOf(node, rec, now)
-		if !live {
-			delete(sh.records, node)
-			continue
+	for _, rec := range sh.records {
+		if sr, live := syncRecordOf(rec, now); live {
+			out = append(out, sr)
 		}
-		out = append(out, sr)
 	}
 	return out
 }
@@ -541,47 +554,42 @@ func (r *Registry) snapshotShard(shard int) []SyncRecord {
 // a digest round, shipping exactly what the responder asked for.
 func (r *Registry) snapshotNodes(shard int, nodes []string) []SyncRecord {
 	now := r.rt.Now()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	sh := r.shards[shard]
+	sh := r.shard(shard)
 	if sh == nil {
 		return nil
 	}
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
 	out := make([]SyncRecord, 0, len(nodes))
 	for _, node := range nodes {
-		rec, ok := sh.records[node]
-		if !ok {
+		rec := sh.records[node]
+		if rec == nil {
 			continue
 		}
-		sr, live := syncRecordOf(node, rec, now)
-		if !live {
-			delete(sh.records, node)
-			continue
+		if sr, live := syncRecordOf(rec, now); live {
+			out = append(out, sr)
 		}
-		out = append(out, sr)
 	}
 	return out
 }
 
 // digestShard captures one shard's version vector: publishing node →
-// freshest stamp, expired records reaped. Stamps alone carry the whole
+// freshest stamp, expired records left out. Stamps alone carry the whole
 // comparison — a tombstone is just a record whose latest stamp marks it
 // deleted, so digests resurrect nothing.
 func (r *Registry) digestShard(shard int) map[string]int64 {
 	now := r.rt.Now()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	sh := r.shards[shard]
+	sh := r.shard(shard)
 	if sh == nil {
 		return nil
 	}
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
 	out := make(map[string]int64, len(sh.records))
 	for node, rec := range sh.records {
-		if rec.leased && rec.expires.Sub(now) <= 0 {
-			delete(sh.records, node)
-			continue
+		if rec.live(now) {
+			out[node] = rec.stampMicros()
 		}
-		out[node] = int64(rec.stamp.Duration() / time.Microsecond)
 	}
 	return out
 }
@@ -591,25 +599,21 @@ func (r *Registry) digestShard(shard int) map[string]int64 {
 // holds fresher (wanted back).
 func (r *Registry) diffDigest(shard int, digest map[string]int64) (fresher []SyncRecord, want []string) {
 	now := r.rt.Now()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	sh := r.shards[shard]
+	sh := r.shard(shard)
 	if sh == nil {
 		return nil, nil
 	}
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
 	for node, rec := range sh.records {
-		sr, live := syncRecordOf(node, rec, now)
-		if !live {
-			delete(sh.records, node)
-			continue
-		}
-		if peerStamp, ok := digest[node]; !ok || sr.StampMicros > peerStamp {
-			fresher = append(fresher, sr)
+		if peerStamp, ok := digest[node]; !ok || rec.stampMicros() > peerStamp {
+			if sr, live := syncRecordOf(rec, now); live {
+				fresher = append(fresher, sr)
+			}
 		}
 	}
 	for node, peerStamp := range digest {
-		rec, ok := sh.records[node]
-		if !ok || int64(rec.stamp.Duration()/time.Microsecond) < peerStamp {
+		if rec := sh.records[node]; rec == nil || !rec.live(now) || rec.stampMicros() < peerStamp {
 			want = append(want, node)
 		}
 	}
@@ -630,12 +634,11 @@ func (r *Registry) mergeShard(shard int, recs []SyncRecord) {
 	var accepted []SyncRecord
 	var merged, tombstones int64
 	now := r.rt.Now()
-	r.mu.Lock()
-	sh := r.shards[shard]
+	sh := r.shard(shard)
 	if sh == nil {
-		r.mu.Unlock()
 		return
 	}
+	sh.lock(now)
 	for _, in := range recs {
 		if in.Node == "" {
 			continue
@@ -647,24 +650,15 @@ func (r *Registry) mergeShard(shard int, recs []SyncRecord) {
 			continue // already expired; zero means permanent, not expired
 		}
 		stamp := vtime.Time(in.StampMicros * int64(time.Microsecond))
-		if loc, ok := sh.records[in.Node]; ok {
-			alive := !loc.leased || now < loc.expires
-			if alive && stamp <= loc.stamp {
-				continue
-			}
+		if loc := sh.records[in.Node]; loc != nil && stamp <= loc.stamp {
+			continue // loc is live (lock reaped the rest), so its stamp counts
 		}
-		rec := record{stamp: stamp, deleted: in.Deleted}
+		v := version{stamp: stamp, expires: leaseOf(in.TTLMillis, now), deleted: in.Deleted}
 		if in.Deleted {
-			rec.leased = true
-			rec.expires = now.Add(time.Duration(in.TTLMillis) * time.Millisecond)
+			sh.put(in.Node, nil, v)
 		} else {
-			rec.entries = append([]Entry(nil), in.Entries...)
-			if in.TTLMillis > 0 {
-				rec.leased = true
-				rec.expires = now.Add(time.Duration(in.TTLMillis) * time.Millisecond)
-			}
+			sh.put(in.Node, in.Entries, v)
 		}
-		sh.records[in.Node] = rec
 		merged++
 		if in.Deleted {
 			tombstones++
@@ -673,7 +667,7 @@ func (r *Registry) mergeShard(shard int, recs []SyncRecord) {
 			accepted = append(accepted, in)
 		}
 	}
-	r.mu.Unlock()
+	sh.mu.Unlock()
 	tel := r.telemetry()
 	tel.Counter("reg.sync_merged").Add(merged)
 	tel.Counter("reg.sync_tombstones").Add(tombstones)
@@ -698,33 +692,22 @@ func (r *Registry) mergeShard(shard int, recs []SyncRecord) {
 // per-shard breakdown when the directory is actually sharded.
 func (r *Registry) Status() RegStatus {
 	now := r.rt.Now()
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	st := RegStatus{Node: r.tr.NodeName()}
-	ids := r.shardIDsLocked()
-	sharded := r.nshards > 1 || len(ids) > 1 || (len(ids) == 1 && ids[0] != 0)
-	seenNodes := map[string]bool{}
+	// The replication bookkeeping first, under r.mu; the live records after,
+	// one shard's read lock at a time — the two are never held together.
+	r.mu.Lock()
+	shards := r.hosted()
+	sharded := r.nshards > 1 || len(shards) > 1 || (len(shards) == 1 && shards[0].id != 0)
+	perShard := make([]ShardStatus, len(shards))
 	type peerAgg struct {
 		syncs, fails int64
 		lag          int64
 		synced       bool
 	}
 	aggPeers := map[string]*peerAgg{}
-	for _, id := range ids {
-		sh := r.shards[id]
-		ss := ShardStatus{Shard: id}
-		for node, rec := range sh.records {
-			if rec.deleted || (rec.leased && now >= rec.expires) {
-				continue
-			}
-			ss.Nodes++
-			ss.Entries += len(rec.entries)
-			if !seenNodes[node] {
-				seenNodes[node] = true
-				st.Nodes++
-			}
-			st.Entries += len(rec.entries)
-		}
+	for i, sh := range shards {
+		ss := &perShard[i]
+		ss.Shard = sh.id
 		peers := make([]string, 0, len(sh.peers))
 		for p := range sh.peers {
 			peers = append(peers, p)
@@ -751,10 +734,8 @@ func (r *Registry) Status() RegStatus {
 				agg.lag = lag
 			}
 		}
-		if sharded {
-			st.Shards = append(st.Shards, ss)
-		}
 	}
+	r.mu.Unlock()
 	aggNames := make([]string, 0, len(aggPeers))
 	for p := range aggPeers {
 		aggNames = append(aggNames, p)
@@ -765,6 +746,27 @@ func (r *Registry) Status() RegStatus {
 		st.Peers = append(st.Peers, PeerSyncStatus{
 			Node: p, Syncs: agg.syncs, Fails: agg.fails, LagMillis: agg.lag,
 		})
+	}
+	seenNodes := map[string]bool{}
+	for i, sh := range shards {
+		ss := &perShard[i]
+		sh.mu.RLock()
+		for node, rec := range sh.records {
+			if rec.deleted || !rec.live(now) {
+				continue
+			}
+			ss.Nodes++
+			ss.Entries += len(rec.slots)
+			if !seenNodes[node] {
+				seenNodes[node] = true
+				st.Nodes++
+			}
+			st.Entries += len(rec.slots)
+		}
+		sh.mu.RUnlock()
+	}
+	if sharded {
+		st.Shards = perShard
 	}
 	return st
 }
@@ -783,7 +785,7 @@ func (r *Registry) Close() {
 	for st := range r.conns {
 		conns = append(conns, st)
 	}
-	for _, sh := range r.shards {
+	for _, sh := range r.hosted() {
 		for _, ps := range sh.peers {
 			if ps.st != nil {
 				conns = append(conns, ps.st)
@@ -821,11 +823,7 @@ func (r *Registry) Sessions() int64 {
 // LookupsServed reports how many lookup/list operations the registry has
 // answered; the client-side resolution cache keeps this far below the
 // number of by-name dials.
-func (r *Registry) LookupsServed() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.lookups
-}
+func (r *Registry) LookupsServed() int64 { return r.lookups.Load() }
 
 func (r *Registry) serve(st orbStream) {
 	tel := r.telemetry()
@@ -858,23 +856,38 @@ func (r *Registry) serve(st orbStream) {
 	}
 }
 
-// reqShards resolves a request's shard address to hosted shard ids:
-// ShardAll means every hosted shard, anything else names exactly one,
-// which must be hosted here — a client whose shard map says otherwise is
-// talking to the wrong group and must hear so, not get silently empty
-// results.
-func (r *Registry) reqShards(shard int) ([]int, *Response) {
+// reqShard resolves the shard address of a write or sync request: it must
+// name exactly one shard, hosted here. A client whose shard map says
+// otherwise is talking to the wrong group and must hear so — and ShardAll,
+// which only a lookup may fan out on, is no shard at all.
+func (r *Registry) reqShard(shard int) (*shardState, *Response) {
+	if sh := r.shard(shard); sh != nil {
+		return sh, nil
+	}
+	return nil, &Response{Error: fmt.Sprintf(
+		"replica %s does not host shard %d", r.tr.NodeName(), shard)}
+}
+
+// reqShards resolves a lookup's shard address: ShardAll means every hosted
+// shard, anything else exactly one (see reqShard) — never silently empty
+// results from a shard this replica does not have.
+func (r *Registry) reqShards(shard int) ([]*shardState, *Response) {
 	if shard == ShardAll {
-		return r.ShardIDs(), nil
+		return r.hosted(), nil
 	}
-	r.mu.Lock()
-	_, ok := r.shards[shard]
-	r.mu.Unlock()
-	if !ok {
-		return nil, &Response{Error: fmt.Sprintf(
-			"replica %s does not host shard %d", r.tr.NodeName(), shard)}
+	sh, errResp := r.reqShard(shard)
+	if errResp != nil {
+		return nil, errResp
 	}
-	return []int{shard}, nil
+	return []*shardState{sh}, nil
+}
+
+// leaseOf turns a request's TTL into a record's deadline.
+func leaseOf(ttlMillis int64, now vtime.Time) vtime.Time {
+	if ttlMillis <= 0 {
+		return never
+	}
+	return now.Add(time.Duration(ttlMillis) * time.Millisecond)
 }
 
 func (r *Registry) handle(req *Request) *Response {
@@ -890,41 +903,38 @@ func (r *Registry) handle(req *Request) *Response {
 		if node == "" {
 			return &Response{Error: "publish without node"}
 		}
-		if _, errResp := r.reqShards(req.Shard); errResp != nil {
+		sh, errResp := r.reqShard(req.Shard)
+		if errResp != nil {
 			return errResp
 		}
 		now := r.rt.Now()
-		rec := record{entries: append([]Entry(nil), req.Entries...), stamp: now}
-		if req.TTLMillis > 0 {
-			rec.leased = true
-			rec.expires = now.Add(time.Duration(req.TTLMillis) * time.Millisecond)
-		}
-		r.mu.Lock()
-		r.shards[req.Shard].records[node] = rec
-		r.mu.Unlock()
+		v := version{stamp: now, expires: leaseOf(req.TTLMillis, now)}
+		sh.lock(now)
+		sh.put(node, req.Entries, v)
+		sh.mu.Unlock()
 		return &Response{OK: true}
 	case OpRegAnnounceBatch:
 		if req.Node == "" {
 			return &Response{Error: "publish without node"}
 		}
+		// Every slice's shard must be hosted before any is written; the
+		// writes themselves are atomic per shard.
+		shards := make([]*shardState, len(req.Batch))
+		for i, sp := range req.Batch {
+			sh, errResp := r.reqShard(sp.Shard)
+			if errResp != nil {
+				return errResp
+			}
+			shards[i] = sh
+		}
 		now := r.rt.Now()
-		r.mu.Lock()
-		for _, sp := range req.Batch {
-			if r.shards[sp.Shard] == nil {
-				r.mu.Unlock()
-				return &Response{Error: fmt.Sprintf(
-					"replica %s does not host shard %d", r.tr.NodeName(), sp.Shard)}
-			}
+		v := version{stamp: now, expires: leaseOf(req.TTLMillis, now)}
+		for i, sp := range req.Batch {
+			sh := shards[i]
+			sh.lock(now)
+			sh.put(req.Node, sp.Entries, v)
+			sh.mu.Unlock()
 		}
-		for _, sp := range req.Batch {
-			rec := record{entries: append([]Entry(nil), sp.Entries...), stamp: now}
-			if req.TTLMillis > 0 {
-				rec.leased = true
-				rec.expires = now.Add(time.Duration(req.TTLMillis) * time.Millisecond)
-			}
-			r.shards[sp.Shard].records[req.Node] = rec
-		}
-		r.mu.Unlock()
 		return &Response{OK: true}
 	case OpRegRenewBatch:
 		// Extend a publisher's leases in place — entries stay as announced,
@@ -939,41 +949,36 @@ func (r *Registry) handle(req *Request) *Response {
 			return &Response{Error: "renew without ttl"}
 		}
 		now := r.rt.Now()
+		expires := leaseOf(req.TTLMillis, now)
 		targets := req.Shards
 		sums := req.Sums
 		if len(sums) != len(targets) {
 			sums = nil // unaligned or absent: no content check (old client)
 		}
-		r.mu.Lock()
 		if len(targets) == 0 {
-			targets = r.shardIDsLocked()
+			targets = r.ShardIDs()
 		}
 		var missing []int
 		for i, id := range targets {
-			sh := r.shards[id]
+			sh := r.shard(id)
 			if sh == nil {
 				missing = append(missing, id)
 				continue
 			}
-			rec, ok := sh.records[req.Node]
-			if !ok || rec.deleted || !rec.leased || now >= rec.expires {
+			sh.lock(now)
+			rec := sh.records[req.Node]
+			// A record whose sum is not the publisher's is not what it
+			// leased — it diverged before this replica entered the rotation
+			// (failover onto a peer the last announce never reached).
+			// Extending the deadline would pin the stale content alive; make
+			// the publisher re-announce instead.
+			if rec == nil || rec.deleted || !rec.leased() || (sums != nil && rec.sum != sums[i]) {
 				missing = append(missing, id)
-				continue
+			} else {
+				sh.renew(rec, expires, now)
 			}
-			if sums != nil && EntriesSum(rec.entries) != sums[i] {
-				// This replica's copy is not what the publisher leased — it
-				// diverged before this replica entered the rotation (failover
-				// onto a peer the last announce never reached). Extending the
-				// deadline would pin the stale content alive; make the
-				// publisher re-announce instead.
-				missing = append(missing, id)
-				continue
-			}
-			rec.expires = now.Add(time.Duration(req.TTLMillis) * time.Millisecond)
-			rec.stamp = now
-			sh.records[req.Node] = rec
+			sh.mu.Unlock()
 		}
-		r.mu.Unlock()
 		sort.Ints(missing)
 		return &Response{OK: true, Missing: missing}
 	case OpRegWithdraw:
@@ -983,43 +988,41 @@ func (r *Registry) handle(req *Request) *Response {
 		// falls out after TombstoneTTL. Every hosted shard is tombstoned —
 		// the withdrawing node's entries may be spread across all of them.
 		now := r.rt.Now()
-		r.mu.Lock()
-		for _, sh := range r.shards {
-			sh.records[req.Node] = record{
-				stamp: now, deleted: true, leased: true, expires: now.Add(TombstoneTTL),
-			}
+		tomb := version{stamp: now, expires: now.Add(TombstoneTTL), deleted: true}
+		for _, sh := range r.hosted() {
+			sh.lock(now)
+			sh.put(req.Node, nil, tomb)
+			sh.mu.Unlock()
 		}
-		r.mu.Unlock()
 		return &Response{OK: true}
 	case OpRegLookup:
-		ids, errResp := r.reqShards(req.Shard)
+		shards, errResp := r.reqShards(req.Shard)
 		if errResp != nil {
 			return errResp
 		}
-		return &Response{OK: true, Entries: r.lookupIn(ids, req.Kind, req.Name, true)}
+		r.lookups.Add(1)
+		return &Response{OK: true, Entries: r.lookupIn(shards, req.Kind, req.Name)}
 	case OpRegList:
-		return &Response{OK: true, Entries: r.lookupIn(r.ShardIDs(), "", "", true)}
+		r.lookups.Add(1)
+		return &Response{OK: true, Entries: r.lookupIn(r.hosted(), "", "")}
 	case OpRegSync:
-		ids, errResp := r.reqShards(req.Shard)
-		if errResp != nil {
+		if _, errResp := r.reqShard(req.Shard); errResp != nil {
 			return errResp
 		}
-		r.mergeShard(ids[0], req.Sync)
-		return &Response{OK: true, Sync: r.snapshotShard(ids[0])}
+		r.mergeShard(req.Shard, req.Sync)
+		return &Response{OK: true, Sync: r.snapshotShard(req.Shard)}
 	case OpRegDigest:
-		ids, errResp := r.reqShards(req.Shard)
-		if errResp != nil {
+		if _, errResp := r.reqShard(req.Shard); errResp != nil {
 			return errResp
 		}
-		fresher, want := r.diffDigest(ids[0], req.Digest)
+		fresher, want := r.diffDigest(req.Shard, req.Digest)
 		r.telemetry().Counter("reg.shard.records_sent").Add(int64(len(fresher)))
 		return &Response{OK: true, Sync: fresher, Want: want}
 	case OpRegPush:
-		ids, errResp := r.reqShards(req.Shard)
-		if errResp != nil {
+		if _, errResp := r.reqShard(req.Shard); errResp != nil {
 			return errResp
 		}
-		r.mergeShard(ids[0], req.Sync)
+		r.mergeShard(req.Shard, req.Sync)
 		r.telemetry().Counter("reg.shard.records_recv").Add(int64(len(req.Sync)))
 		return &Response{OK: true}
 	case OpRegStatus:
@@ -1035,51 +1038,21 @@ func (r *Registry) handle(req *Request) *Response {
 // Results are ordered by node, kind, name, and carry the lease time
 // remaining.
 func (r *Registry) Lookup(kind, name string) []Entry {
-	return r.lookupIn(r.ShardIDs(), kind, name, false)
+	return r.lookupIn(r.hosted(), kind, name)
 }
 
-func (r *Registry) lookupIn(shards []int, kind, name string, remote bool) []Entry {
+// lookupIn answers from the given shards, each under its own read lock. A
+// named lookup of one shard comes out of the index already in order; an
+// answer merged across shards, or walked, is sorted here.
+func (r *Registry) lookupIn(shards []*shardState, kind, name string) []Entry {
 	now := r.rt.Now()
-	r.mu.Lock()
-	if remote {
-		r.lookups++
-	}
 	var out []Entry
-	for _, id := range shards {
-		sh := r.shards[id]
-		if sh == nil {
-			continue
-		}
-		for node, rec := range sh.records {
-			if rec.leased && now >= rec.expires {
-				// Expired lease or tombstone: the publisher died without
-				// withdrawing, or the withdraw has been remembered long
-				// enough. Reap lazily — correctness needs no background
-				// sweeper, and lazy reaping behaves identically under Sim
-				// and Wall.
-				delete(sh.records, node)
-				continue
-			}
-			if rec.deleted {
-				continue
-			}
-			var remain int64
-			if rec.leased {
-				remain = int64(rec.expires.Sub(now) / time.Millisecond)
-				if remain <= 0 {
-					remain = 1
-				}
-			}
-			for _, e := range rec.entries {
-				if (kind == "" || e.Kind == kind) && (name == "" || e.Name == name) {
-					e.TTLMillis = remain
-					out = append(out, e)
-				}
-			}
-		}
+	for _, sh := range shards {
+		out = sh.lookup(out, kind, name, now)
 	}
-	r.mu.Unlock()
-	sortEntries(out)
+	if named := kind != "" && name != ""; !named || len(shards) > 1 {
+		sortEntries(out)
+	}
 	return out
 }
 
@@ -1087,6 +1060,9 @@ func (r *Registry) lookupIn(shards []int, kind, name string, remote bool) []Entr
 // canonical, deterministic answer order, shared by replicas and by clients
 // merging cross-shard results.
 func sortEntries(out []Entry) {
+	if len(out) < 2 {
+		return
+	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Node != out[j].Node {
 			return out[i].Node < out[j].Node
